@@ -1,6 +1,7 @@
 // Packing & checksum engine: scalar templates vs the ISA-dispatched SIMD
-// PackSet (pack_a_ft / pack_b_ft / reduce_bc / scale_encode_c / encode_ar),
-// NoTrans and Trans, in GB/s of operand traffic.
+// PackSet (pack_a_ft / pack_b_ft / pack_b_ft_bc / reduce_bc /
+// scale_encode_c / encode_ar), NoTrans and Trans, in GB/s of operand
+// traffic.
 //
 // This is the O(n^2)-per-panel layer the fused-ABFT scheme lives in: its
 // acceptance bar is dispatched pack_a_ft / pack_b_ft >= 1.5x scalar on
@@ -105,6 +106,18 @@ int main() {
                      cr.data());
     });
     print_row("pack_b_ft", tname, sb, vb);
+
+    // The executor's FT B pack: pack_b_ft plus Bc and amax(B) in the same
+    // pass, on the same byte basis (compare with pack_b_ft + reduce_bc).
+    const double sf = median_gbs(b_bytes, reps, [&] {
+      scalar.pack_b_ft_bc(bv, 0, 0, kc, nc, nr, btilde.data(), ar.data(),
+                          cr.data(), bc.data(), 0.0);
+    });
+    const double vf = median_gbs(b_bytes, reps, [&] {
+      simd.pack_b_ft_bc(bv, 0, 0, kc, nc, nr, btilde.data(), ar.data(),
+                        cr.data(), bc.data(), 0.0);
+    });
+    print_row("pack_b_ft_bc", tname, sf, vf);
   }
 
   {

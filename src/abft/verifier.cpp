@@ -81,6 +81,14 @@ SolveOutcome solve_error_assignment(const std::vector<Mismatch>& rows,
   if (rows.empty() || cols.empty()) return outcome;
   if (rows.size() > kMaxMismatches || cols.size() > kMaxMismatches)
     return outcome;
+  // An Inf/NaN delta cannot be undone by subtraction (and NaN would pass
+  // every "settled" comparison below): detected, not correctable.
+  const auto finite = [](const Mismatch& mm) {
+    return std::isfinite(mm.delta);
+  };
+  if (!std::all_of(rows.begin(), rows.end(), finite) ||
+      !std::all_of(cols.begin(), cols.end(), finite))
+    return outcome;
 
   // Stage 1 — peel isolated errors: a row and a column whose deltas match
   // *each other uniquely* identify one error at their intersection.  This

@@ -18,6 +18,7 @@
 // caller can re-run (see ft_gemm_reliable).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -30,14 +31,16 @@ struct Mismatch {
   double delta;       ///< reference minus predicted
 };
 
-/// Scan a checksum pair for entries differing by more than tau.
+/// Scan a checksum pair for entries differing by more than tau.  Written
+/// as "not within tau" so a NaN difference (a NaN reached C or a checksum,
+/// where every ordered comparison is false) is reported, never passed.
 template <typename T>
 void find_mismatches(const T* predicted, const T* reference,
                      std::int64_t count, double tau, std::int64_t base,
                      std::vector<Mismatch>& out) {
   for (std::int64_t i = 0; i < count; ++i) {
     const double d = double(reference[i]) - double(predicted[i]);
-    if (d > tau || d < -tau) out.push_back({base + i, d});
+    if (!(std::fabs(d) <= tau)) out.push_back({base + i, d});
   }
 }
 
@@ -64,8 +67,9 @@ struct SolveOutcome {
 /// uniquely — handles arbitrarily many scattered errors; (2) resolve the
 /// remaining burst clusters with a small assignment search under the
 /// "one error per column" / "one error per row" hypotheses.  Oversized
-/// mismatch lists or an exhausted search budget yield solved = false (the
-/// caller treats the panel as detected-but-uncorrectable).
+/// mismatch lists, a non-finite delta (no value to subtract) or an
+/// exhausted search budget yield solved = false (the caller treats the
+/// panel as detected-but-uncorrectable).
 SolveOutcome solve_error_assignment(const std::vector<Mismatch>& rows,
                                     const std::vector<Mismatch>& cols,
                                     double slack);

@@ -8,7 +8,8 @@
 //   - cc/cr:   predicted checksums of C (maintained via checksum math),
 //   - ccref/crref: reference checksums accumulated from computed C values,
 //   - ar, bc:  operand checksums, with per-thread partials for the
-//     reductions the parallel algorithm requires.
+//     reductions the parallel algorithm requires (Bc is reduced by every
+//     member into its own private copy).
 #pragma once
 
 #include <algorithm>
@@ -51,7 +52,9 @@ class GemmContext {
     ar_.ensure(su(k));
     ar_stride_ = pad(k);
     ar_part_.ensure(su(ar_stride_) * su(threads));
-    bc_.ensure(su(plan.kc));
+    bc_stride_ = pad(plan.kc);
+    bc_.ensure(su(bc_stride_) * su(threads));
+    bc_part_.ensure(su(bc_stride_) * su(threads));
   }
 
   [[nodiscard]] T* atilde(int tid) {
@@ -73,7 +76,17 @@ class GemmContext {
     return ar_part_.data() + static_cast<std::size_t>(ar_stride_) *
                                  static_cast<std::size_t>(tid);
   }
-  [[nodiscard]] T* bc() { return bc_.data(); }
+  /// Member tid's panel column checksum Bc, private to the member: each
+  /// member sums the nt packing partials itself, in rank order.
+  [[nodiscard]] T* bc(int tid) {
+    return bc_.data() + static_cast<std::size_t>(bc_stride_) *
+                            static_cast<std::size_t>(tid);
+  }
+  /// Member tid's Bc partial over the B~ columns it packed.
+  [[nodiscard]] T* bc_part(int tid) {
+    return bc_part_.data() + static_cast<std::size_t>(bc_stride_) *
+                                 static_cast<std::size_t>(tid);
+  }
 
   /// Size all buffers for the problem a GemmPlan was built for.
   void ensure(const GemmPlan<StorageT, ComputeT>& plan) {
@@ -96,8 +109,9 @@ class GemmContext {
   AlignedBuffer<T> atilde_;
   AlignedBuffer<T> btilde_;
   AlignedBuffer<T> cc_, cr_, ccref_, crref_;
-  AlignedBuffer<T> crref_part_, ar_, ar_part_, bc_;
+  AlignedBuffer<T> crref_part_, ar_, ar_part_, bc_, bc_part_;
   index_t atilde_stride_ = 0;
+  index_t bc_stride_ = 0;
   index_t crref_stride_ = 0;
   index_t ar_stride_ = 0;
   PlanCache<StorageT, ComputeT> plans_;

@@ -21,13 +21,25 @@
 // Thread topology (§2.3): the thread team (runtime/team.hpp — persistent
 // worker pool or OpenMP region, frozen into the plan) partitions C along the
 // M-dimension; B~ is one buffer shared by all members and packed
-// cooperatively along the N-dimension (with a cross-thread reduction for the
-// panel checksum Bc); each member packs its own private A~.  The executor is
-// runtime-agnostic: it sees only TeamMember's tid/nt/barrier/single, and a
-// member's rank fully determines its partition and reduction position, so
-// results are bit-identical across backends at equal nt.  Running with
-// threads = 1 *is* the serial algorithm — no separate code path exists, so
-// serial and parallel results are produced by the same verified code.
+// cooperatively along the N-dimension; each member packs its own private A~.
+// The panel checksum Bc is fused into the B~ pack (pack_b_ft_bc): each
+// member writes a partial over the columns it packed, and after the
+// post-pack barrier every member sums the nt partials in rank order into
+// its own private Bc ("an extra stage of reduction operation among
+// threads") — no separate sweep over B~ and no barrier of its own.  The
+// executor is runtime-agnostic: it sees only TeamMember's
+// tid/nt/barrier/single, and a member's rank fully determines its partition
+// and reduction position, so results are bit-identical across backends at
+// equal nt.  Running with threads = 1 *is* the serial algorithm — no
+// separate code path exists, so serial and parallel results are produced by
+// the same verified code.
+//
+// Sync points per rank-KC panel (for n <= NC): Ori has 2 team barriers
+// (post-pack, post-macro); FT has 3 (post-pack, post-macro, post-scan),
+// plus one `single` for locate/correct only when some member found a
+// checksum mismatch.  The tolerance thresholds are recomputed by every
+// member from the shared amax partials (a deterministic function of them),
+// so they need no `single` either.
 //
 // The planner's small-GEMM fast path (plan.fast_path) takes execute_small
 // instead: the whole problem fits a single macro-tile, so B~ and A~ are each
@@ -150,13 +162,13 @@ inline void locate_correct_reverify(
       T sum = T(0);
       for (index_t j = 0; j < n; ++j) sum += c[i + j * ldc];
       const double d = double(sum) - double(ctx.cc()[i]);
-      if (std::abs(d) > tol.cc_tau) rows.push_back({i, d});
+      if (!(std::abs(d) <= tol.cc_tau)) rows.push_back({i, d});
     }
     for (const index_t j : touched_cols) {
       T sum = T(0);
       for (index_t i = 0; i < m; ++i) sum += c[i + j * ldc];
       const double d = double(sum) - double(ctx.cr()[j]);
-      if (std::abs(d) > tol.cr_tau) cols.push_back({j, d});
+      if (!(std::abs(d) <= tol.cr_tau)) cols.push_back({j, d});
     }
     if (rows.empty() && cols.empty()) break;  // converged
     if (round + 1 >= kMaxRounds) {
@@ -293,16 +305,15 @@ FtReport execute_small(const GemmPlan<S, C>& plan, C alpha, const S* a,
     if constexpr (FT) {
       std::fill(ctx.ccref(), ctx.ccref() + m, T(0));
       std::fill(ctx.crref_part(0), ctx.crref_part(0) + n * lanes, T(0));
-      ks.pack.pack_b_ft(bv, 0, 0, k, n, plan.blocking.nr, ctx.btilde(),
-                        ctx.ar(), ctx.cr());
-      amax_b = ks.pack.reduce_bc(ctx.btilde(), k, n, plan.blocking.nr,
-                                 index_t(0), k, ctx.bc(), 0.0);
+      amax_b = ks.pack.pack_b_ft_bc(bv, 0, 0, k, n, plan.blocking.nr,
+                                    ctx.btilde(), ctx.ar(), ctx.cr(),
+                                    ctx.bc(0), 0.0);
       if (ra != nullptr) {
-        ks.pack.encode_cc(apanel, av.trans, m, k, plan.blocking.mr, ctx.bc(),
-                          ctx.cc());
+        ks.pack.encode_cc(apanel, av.trans, m, k, plan.blocking.mr,
+                          ctx.bc(0), ctx.cc());
       } else {
         ks.pack.pack_a_ft(av, 0, 0, m, k, plan.blocking.mr, alpha,
-                          ctx.atilde(0), ctx.bc(), ctx.cc());
+                          ctx.atilde(0), ctx.bc(0), ctx.cc());
       }
     } else {
       ks.pack.pack_b(bv, 0, 0, k, n, plan.blocking.nr, ctx.btilde());
@@ -419,7 +430,6 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
 
   // Shared across the parallel region.
   std::vector<double> amax_parts(std::size_t(nt) * 3, 0.0);
-  ToleranceModel<T> tol{};
   std::vector<std::vector<Mismatch>> row_mm(static_cast<std::size_t>(nt));
   std::vector<std::vector<Mismatch>> col_mm(static_cast<std::size_t>(nt));
   std::int64_t detected = 0;
@@ -462,8 +472,8 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
       // (encoded at fill in this plan's per-thread partial order).
       if (ra != nullptr) amax_a = tid == 0 ? ra->amax_a : 0.0;
       amax_parts[std::size_t(tid) * 3 + 0] = amax_a;
-      // amax(B) is folded into the per-panel Bc reduction sweep; slot 1
-      // accumulates monotonically as panels stream through.
+      // amax(B) is folded into the fused B~ pack; slot 1 accumulates
+      // monotonically as panels stream through.
       amax_parts[std::size_t(tid) * 3 + 1] = 0.0;
       amax_parts[std::size_t(tid) * 3 + 2] = amax_c;
       tm.barrier();
@@ -507,41 +517,38 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
           const index_t jinc = std::min(bp.nc, n - jc);
 
           // Cooperative packing of B~ along N (unit NR so panel boundaries
-          // land on micro-panel boundaries).
+          // land on micro-panel boundaries).  The FT pack also writes this
+          // member's Bc partial over its columns (zero when jlen == 0) and
+          // folds amax(B) into the same pass.
           index_t js = 0, jlen = 0;
           partition_units(jinc, bp.nr, nt, tid, js, jlen);
+          T* const bt = ctx.btilde() + (js / bp.nr) * (bp.nr * pinc);
           if constexpr (FT) {
-            if (jlen > 0) {
-              ks.pack.pack_b_ft(bv, p, jc + js, pinc, jlen, bp.nr,
-                                ctx.btilde() + (js / bp.nr) * (bp.nr * pinc),
-                                ctx.ar() + p, ctx.cr() + jc + js);
-            }
-          } else {
-            if (jlen > 0) {
-              ks.pack.pack_b(bv, p, jc + js, pinc, jlen, bp.nr,
-                             ctx.btilde() + (js / bp.nr) * (bp.nr * pinc));
-            }
+            double& amax_b = amax_parts[std::size_t(tid) * 3 + 1];
+            amax_b = ks.pack.pack_b_ft_bc(bv, p, jc + js, pinc, jlen, bp.nr,
+                                          bt, ctx.ar() + p,
+                                          ctx.cr() + jc + js,
+                                          ctx.bc_part(tid), amax_b);
+          } else if (jlen > 0) {
+            ks.pack.pack_b(bv, p, jc + js, pinc, jlen, bp.nr, bt);
           }
           tm.barrier();
           if constexpr (FT) {
-            // Bc reduction ("an extra stage of reduction operation among
-            // threads", §2.3): each thread derives its K-slice of the panel
-            // checksum from the freshly packed, cache-resident B~.
-            index_t kks = 0, kklen = 0;
-            partition_units(pinc, 1, nt, tid, kks, kklen);
-            if (kklen > 0) {
-              amax_parts[std::size_t(tid) * 3 + 1] = ks.pack.reduce_bc(
-                  ctx.btilde(), pinc, jinc, bp.nr, kks, kklen, ctx.bc(),
-                  amax_parts[std::size_t(tid) * 3 + 1]);
+            // Every member sums the nt partials in rank order into its own
+            // private Bc — the same order on every backend.
+            T* const bc = ctx.bc(tid);
+            std::copy(ctx.bc_part(0), ctx.bc_part(0) + pinc, bc);
+            for (int t = 1; t < nt; ++t) {
+              const T* part = ctx.bc_part(t);
+              for (index_t kk = 0; kk < pinc; ++kk) bc[kk] += part[kk];
             }
-            tm.barrier();
           }
 
           // Transient B~ strike: one member mutates the shared panel after
-          // every checksum predicted from it (Cr via pack_b_ft, Bc via
-          // reduce_bc) and before any macro kernel consumes it.
-          // mem_injector is uniform across the team, so every member takes
-          // the single's implicit trailing barrier.
+          // every checksum predicted from it (Cr and Bc, both derived from
+          // the source operand by pack_b_ft_bc) and before any macro kernel
+          // consumes it.  mem_injector is uniform across the team, so every
+          // member takes the single's implicit trailing barrier.
           if (mem_injector != nullptr) {
             tm.single([&] {
               strike_transient_panel(
@@ -582,10 +589,10 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
                 // Replay the fused Cc update the skipped pack_a_ft would
                 // have accumulated for this (jc, ic) block.
                 ks.pack.encode_cc(apanel, av.trans, ilen, pinc, bp.mr,
-                                  ctx.bc(), ctx.cc() + ms + ic);
+                                  ctx.bc(tid), ctx.cc() + ms + ic);
               } else {
                 ks.pack.pack_a_ft(av, ms + ic, p, ilen, pinc, bp.mr, alpha,
-                                  ctx.atilde(tid), ctx.bc(),
+                                  ctx.atilde(tid), ctx.bc(tid),
                                   ctx.cc() + ms + ic);
               }
             } else {
@@ -628,29 +635,32 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
                                               lanes);
             }
           }
-          tm.barrier();  // B~ chunk complete before it is repacked
+          // B~ chunk (and every Bc partial) consumed before it is repacked.
+          tm.barrier();
         }
 
         if constexpr (FT) {
           // Refresh the verification thresholds: amax(B) now covers every
           // panel streamed so far, i.e. exactly the contributions the
-          // checksums have accumulated.
-          tm.single([&] {
-            double amax_a_all = 0.0, amax_b_all = 0.0, amax_c_all = 0.0;
-            for (int t = 0; t < nt; ++t) {
-              amax_a_all =
-                  std::max(amax_a_all, amax_parts[std::size_t(t) * 3]);
-              amax_b_all =
-                  std::max(amax_b_all, amax_parts[std::size_t(t) * 3 + 1]);
-              amax_c_all =
-                  std::max(amax_c_all, amax_parts[std::size_t(t) * 3 + 2]);
-            }
-            tol = ToleranceModel<T>::compute(m, n, k, amax_a_all, amax_b_all,
-                                             amax_c_all, double(alpha),
-                                             double(beta), plan.tol_factor);
-          });  // trailing team barrier (the "implicit barrier" of omp single)
+          // checksums have accumulated.  Every member derives the same
+          // model from the shared partials (all written before the
+          // post-pack barrier, next rewritten after the post-scan barrier).
+          double amax_a_all = 0.0, amax_b_all = 0.0, amax_c_all = 0.0;
+          for (int t = 0; t < nt; ++t) {
+            amax_a_all = std::max(amax_a_all, amax_parts[std::size_t(t) * 3]);
+            amax_b_all =
+                std::max(amax_b_all, amax_parts[std::size_t(t) * 3 + 1]);
+            amax_c_all =
+                std::max(amax_c_all, amax_parts[std::size_t(t) * 3 + 2]);
+          }
+          const ToleranceModel<T> tol = ToleranceModel<T>::compute(
+              m, n, k, amax_a_all, amax_b_all, amax_c_all, double(alpha),
+              double(beta), plan.tol_factor);
           // Reduce per-thread Cr references, then scan for mismatches in
-          // parallel (rows over the M-partition, columns over N).
+          // parallel (rows over the M-partition, columns over N).  The row
+          // scan reads only this member's rows; the column scan reads cr
+          // (ordered by the post-pack barrier) and the crref range this
+          // member just reduced — no barrier between them.
           for (index_t j = js_red; j < js_red + jlen_red; ++j) {
             T sum = T(0);
             for (int t = 0; t < nt; ++t) {
@@ -659,31 +669,43 @@ FtReport execute(const GemmPlan<S, C>& plan, C alpha, const S* a, index_t lda,
             }
             ctx.crref()[j] = sum;
           }
-          row_mm[std::size_t(tid)].clear();
-          col_mm[std::size_t(tid)].clear();
+          std::vector<Mismatch>& my_rows = row_mm[std::size_t(tid)];
+          std::vector<Mismatch>& my_cols = col_mm[std::size_t(tid)];
+          my_rows.clear();
+          my_cols.clear();
           if (mlen > 0) {
             find_mismatches(ctx.cc() + ms, ctx.ccref() + ms, mlen, tol.cc_tau,
-                            ms, row_mm[std::size_t(tid)]);
+                            ms, my_rows);
           }
-          tm.barrier();
           if (jlen_red > 0) {
             find_mismatches(ctx.cr() + js_red, ctx.crref() + js_red, jlen_red,
-                            tol.cr_tau, js_red, col_mm[std::size_t(tid)]);
+                            tol.cr_tau, js_red, my_cols);
           }
           tm.barrier();
-          tm.single([&] {
-            std::vector<Mismatch> rows, cols;
-            for (int t = 0; t < nt; ++t) {
-              rows.insert(rows.end(), row_mm[std::size_t(t)].begin(),
-                          row_mm[std::size_t(t)].end());
-              cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
-                          col_mm[std::size_t(t)].end());
-            }
-            locate_correct_reverify(rows, cols, tol, m, n, c, ldc, ctx,
-                                    panel, correction_log, detected,
-                                    corrected, uncorrectable);
-            ++panels_run;
-          });  // trailing team barrier
+          // Every member sees the same lists here, so all take the same
+          // branch (single's trailing barrier is reached by all or none).
+          bool clean_panel = true;
+          for (int t = 0; t < nt; ++t) {
+            clean_panel = clean_panel && row_mm[std::size_t(t)].empty() &&
+                          col_mm[std::size_t(t)].empty();
+          }
+          if (clean_panel) {
+            if (tid == 0) ++panels_run;
+          } else {
+            tm.single([&] {
+              std::vector<Mismatch> rows, cols;
+              for (int t = 0; t < nt; ++t) {
+                rows.insert(rows.end(), row_mm[std::size_t(t)].begin(),
+                            row_mm[std::size_t(t)].end());
+                cols.insert(cols.end(), col_mm[std::size_t(t)].begin(),
+                            col_mm[std::size_t(t)].end());
+              }
+              locate_correct_reverify(rows, cols, tol, m, n, c, ldc, ctx,
+                                      panel, correction_log, detected,
+                                      corrected, uncorrectable);
+              ++panels_run;
+            });  // trailing team barrier
+          }
         }
       }
     }

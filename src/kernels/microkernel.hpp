@@ -112,6 +112,16 @@ using PackBFtFn = void (*)(const OperandView<StorageT>& b, index_t k0,
                            index_t j0, index_t klen, index_t nlen, index_t nr,
                            ComputeT* dst, const ComputeT* ar, ComputeT* cr);
 
+/// pack_b_ft + the panel column checksum bc[kk] = sum_j B(k0+kk, j0+j)
+/// (assigned over [0, klen); nlen = 0 writes zeros) + amax |B|, in the same
+/// pass.  Returns max(amax_in, amax of the packed elements).  Cr is
+/// bit-identical to the same set's pack_b_ft.
+template <typename StorageT, typename ComputeT = StorageT>
+using PackBFtBcFn = double (*)(const OperandView<StorageT>& b, index_t k0,
+                               index_t j0, index_t klen, index_t nlen,
+                               index_t nr, ComputeT* dst, const ComputeT* ar,
+                               ComputeT* cr, ComputeT* bc, double amax_in);
+
 template <typename T>
 using ReduceBcFn = double (*)(const T* b_packed, index_t klen, index_t nlen,
                               index_t nr, index_t kk0, index_t kklen, T* bc,
@@ -165,6 +175,7 @@ struct PackSet {
   PackAFtFn<StorageT, ComputeT> pack_a_ft = nullptr;
   PackBFn<StorageT, ComputeT> pack_b = nullptr;
   PackBFtFn<StorageT, ComputeT> pack_b_ft = nullptr;
+  PackBFtBcFn<StorageT, ComputeT> pack_b_ft_bc = nullptr;
   ReduceBcFn<ComputeT> reduce_bc = nullptr;
   ScaleEncodeCFn<ComputeT> scale_encode_c = nullptr;
   EncodeArFn<StorageT, ComputeT> encode_ar = nullptr;

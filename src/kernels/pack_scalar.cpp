@@ -30,6 +30,7 @@ PackSet<S, C> make_scalar_pack() {
   p.pack_a_ft = &pack_a_ft<S, C>;
   p.pack_b = &pack_b<S, C>;
   p.pack_b_ft = &pack_b_ft<S, C>;
+  p.pack_b_ft_bc = &pack_b_ft_bc<S, C>;
   p.reduce_bc = &reduce_bc_from_panel<C>;
   p.scale_encode_c = &scale_encode_c<C>;
   p.encode_ar = &encode_ar_partial<S, C>;

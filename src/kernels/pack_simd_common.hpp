@@ -35,6 +35,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "kernels/packing.hpp"
 
@@ -53,14 +54,39 @@ inline void prefetch_t0(const void* p) {
 }
 
 /// Scalar fallback set, reached through function pointers so this TU never
-/// instantiates the portable templates under SIMD flags.
-template <typename T>
-const PackSet<T>& scalar_pack() {
-  static const PackSet<T> set = [] {
-    if constexpr (sizeof(T) == 8) return scalar_pack_f64();
-    else return scalar_pack_f32();
+/// instantiates the portable templates under SIMD flags.  Mixed sets
+/// (narrow storage, fp32 compute) resolve to the flag-free bf16/fp16 sets.
+template <typename S, typename C = S>
+const PackSet<S, C>& scalar_pack() {
+  static const PackSet<S, C> set = [] {
+    if constexpr (!std::is_same_v<S, C>) {
+      if constexpr (kStorageDtypeTag<S> == kStorageDtypeTag<bf16_t>)
+        return scalar_pack_bf16();
+      else
+        return scalar_pack_f16();
+    } else if constexpr (sizeof(S) == 8) {
+      return scalar_pack_f64();
+    } else {
+      return scalar_pack_f32();
+    }
   }();
   return set;
+}
+
+inline __m256d abs_pd(__m256d v) {
+  return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+}
+inline __m128 abs_ps(__m128 v) { return _mm_andnot_ps(_mm_set1_ps(-0.0f), v); }
+inline double hmax_pd(__m256d v) {
+  __m128d s = _mm_max_pd(_mm256_castpd256_pd128(v),
+                         _mm256_extractf128_pd(v, 1));
+  s = _mm_max_sd(s, _mm_unpackhi_pd(s, s));
+  return _mm_cvtsd_f64(s);
+}
+inline float hmax_ps(__m128 v) {
+  __m128 s = _mm_max_ps(v, _mm_movehl_ps(v, v));
+  s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
+  return _mm_cvtss_f32(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,21 +252,31 @@ void pack_a_panel_trans(const float* base, index_t ld, index_t klen,
 // FMA (cr[jj] += sum_kk ar[kk] * B~(kk, jj)) fuses directly into the pack
 // loop — the SIMD engine does not re-sweep the packed panel in a second
 // stage (the scalar oracle does; the sums are reassociated either way, and
-// tests hold both within the tolerance contract).  Full panel: cols == nr.
+// tests hold both within the tolerance contract).  With BC the panel column
+// checksum joins the same loop: the loaded column vectors are summed
+// VERTICALLY before the transpose (lane q of the sum is row kk+q over the
+// tile's columns), so Bc costs one add per loaded vector and one
+// read-modify-write of bc per k-block.  BC never alters the Cr arithmetic,
+// so Cr stays bit-identical to the FT-only instantiation.  Returns the
+// panel's amax |B| (0 without BC).
 
-template <bool FT>
-void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
-                          index_t nr, double* __restrict__ dst,
-                          const double* __restrict__ ar,
-                          double* __restrict__ cr) {
+template <bool FT, bool BC>
+double pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
+                            index_t nr, double* __restrict__ dst,
+                            const double* __restrict__ ar,
+                            double* __restrict__ cr, double* __restrict__ bc) {
+  static_assert(FT || !BC, "Bc is only fused into the FT pack");
   const index_t jblocks = nr / 4;
   const index_t jtail = jblocks * 4;
   __m256d acc[kMaxGroups];
   if constexpr (FT) {
     for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm256_setzero_pd();
   }
+  __m256d amaxv = _mm256_setzero_pd();
+  double amax = 0.0;
   index_t kk = 0;
   for (; kk + 4 <= klen; kk += 4) {
+    [[maybe_unused]] __m256d bsum = _mm256_setzero_pd();
     for (index_t g = 0; g < jblocks; ++g) {
       const double* col = base + 4 * g * ld + kk;
       if (kk % 8 == 0) {
@@ -252,6 +288,13 @@ void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
       __m256d t[4] = {_mm256_loadu_pd(col), _mm256_loadu_pd(col + ld),
                       _mm256_loadu_pd(col + 2 * ld),
                       _mm256_loadu_pd(col + 3 * ld)};
+      if constexpr (BC) {
+        bsum = _mm256_add_pd(bsum, _mm256_add_pd(_mm256_add_pd(t[0], t[1]),
+                                                 _mm256_add_pd(t[2], t[3])));
+        amaxv = _mm256_max_pd(
+            amaxv, _mm256_max_pd(_mm256_max_pd(abs_pd(t[0]), abs_pd(t[1])),
+                                 _mm256_max_pd(abs_pd(t[2]), abs_pd(t[3]))));
+      }
       transpose4x4_pd(t);
       for (int q = 0; q < 4; ++q) {
         _mm256_storeu_pd(dst + (kk + q) * nr + 4 * g, t[q]);
@@ -259,12 +302,18 @@ void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
           acc[g] = _mm256_fmadd_pd(t[q], _mm256_set1_pd(ar[kk + q]), acc[g]);
       }
     }
+    if constexpr (BC)
+      _mm256_storeu_pd(bc + kk, _mm256_add_pd(_mm256_loadu_pd(bc + kk), bsum));
     for (index_t jj = jtail; jj < nr; ++jj) {  // narrow tail columns
       const double* cj = base + jj * ld;
       for (int q = 0; q < 4; ++q) {
         const double v = cj[kk + q];
         dst[(kk + q) * nr + jj] = v;
         if constexpr (FT) cr[jj] += ar[kk + q] * v;
+        if constexpr (BC) {
+          bc[kk + q] += v;
+          amax = std::max(amax, std::abs(v));
+        }
       }
     }
   }
@@ -272,11 +321,17 @@ void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
     double* row = dst + kk * nr;
     if constexpr (FT) {
       const double arv = ar[kk];
+      [[maybe_unused]] double sum = 0.0;
       for (index_t jj = 0; jj < nr; ++jj) {
         const double v = base[jj * ld + kk];
         row[jj] = v;
         cr[jj] += arv * v;
+        if constexpr (BC) {
+          sum += v;
+          amax = std::max(amax, std::abs(v));
+        }
       }
+      if constexpr (BC) bc[kk] += sum;
     } else {
       for (index_t jj = 0; jj < nr; ++jj) row[jj] = base[jj * ld + kk];
     }
@@ -288,33 +343,50 @@ void pack_b_panel_notrans(const double* base, index_t ld, index_t klen,
       for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
     }
   }
+  return BC ? std::max(amax, hmax_pd(amaxv)) : 0.0;
 }
 
-template <bool FT>
-void pack_b_panel_notrans(const float* base, index_t ld, index_t klen,
-                          index_t nr, float* __restrict__ dst,
-                          const float* __restrict__ ar,
-                          float* __restrict__ cr) {
-  const index_t jblocks = nr / 4;  // 4x4 SSE tiles: NR=6/8 leave < 8 cols
+/// fp32-compute NoTrans pack_b panel in 4x4 SSE tiles (NR = 6/8 leave < 8
+/// columns, so 8x8 tiles would not fill).  `LD::load4` supplies four
+/// consecutive storage elements widened to fp32 — a plain load for fp32,
+/// a bf16/fp16 widen for the mixed sets, which therefore share this exact
+/// accumulator structure.
+template <class LD, bool FT, bool BC>
+float pack_b_panel_notrans4(const typename LD::S* base, index_t ld,
+                            index_t klen, index_t nr, float* __restrict__ dst,
+                            const float* __restrict__ ar,
+                            float* __restrict__ cr, float* __restrict__ bc) {
+  static_assert(FT || !BC, "Bc is only fused into the FT pack");
+  const index_t jblocks = nr / 4;
   const index_t jtail = jblocks * 4;
   __m128 acc[kMaxGroups];
   if constexpr (FT) {
     for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm_setzero_ps();
   }
+  __m128 amaxv = _mm_setzero_ps();
+  float amax = 0.0f;
   index_t kk = 0;
   for (; kk + 4 <= klen; kk += 4) {
+    [[maybe_unused]] __m128 bsum = _mm_setzero_ps();
     for (index_t g = 0; g < jblocks; ++g) {
-      const float* col = base + 4 * g * ld + kk;
+      const typename LD::S* col = base + 4 * g * ld + kk;
       if (kk % 16 == 0) {
         prefetch_t0(col + 4 * kPfDist);
         prefetch_t0(col + ld + 4 * kPfDist);
         prefetch_t0(col + 2 * ld + 4 * kPfDist);
         prefetch_t0(col + 3 * ld + 4 * kPfDist);
       }
-      __m128 t0 = _mm_loadu_ps(col);
-      __m128 t1 = _mm_loadu_ps(col + ld);
-      __m128 t2 = _mm_loadu_ps(col + 2 * ld);
-      __m128 t3 = _mm_loadu_ps(col + 3 * ld);
+      __m128 t0 = LD::load4(col);
+      __m128 t1 = LD::load4(col + ld);
+      __m128 t2 = LD::load4(col + 2 * ld);
+      __m128 t3 = LD::load4(col + 3 * ld);
+      if constexpr (BC) {
+        bsum = _mm_add_ps(bsum,
+                          _mm_add_ps(_mm_add_ps(t0, t1), _mm_add_ps(t2, t3)));
+        amaxv = _mm_max_ps(amaxv,
+                           _mm_max_ps(_mm_max_ps(abs_ps(t0), abs_ps(t1)),
+                                      _mm_max_ps(abs_ps(t2), abs_ps(t3))));
+      }
       _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
       _mm_storeu_ps(dst + (kk + 0) * nr + 4 * g, t0);
       _mm_storeu_ps(dst + (kk + 1) * nr + 4 * g, t1);
@@ -327,12 +399,18 @@ void pack_b_panel_notrans(const float* base, index_t ld, index_t klen,
         acc[g] = _mm_fmadd_ps(t3, _mm_set1_ps(ar[kk + 3]), acc[g]);
       }
     }
+    if constexpr (BC)
+      _mm_storeu_ps(bc + kk, _mm_add_ps(_mm_loadu_ps(bc + kk), bsum));
     for (index_t jj = jtail; jj < nr; ++jj) {
-      const float* cj = base + jj * ld;
+      const typename LD::S* cj = base + jj * ld;
       for (int q = 0; q < 4; ++q) {
-        const float v = cj[kk + q];
+        const float v = float(cj[kk + q]);
         dst[(kk + q) * nr + jj] = v;
         if constexpr (FT) cr[jj] += ar[kk + q] * v;
+        if constexpr (BC) {
+          bc[kk + q] += v;
+          amax = std::max(amax, std::abs(v));
+        }
       }
     }
   }
@@ -340,13 +418,19 @@ void pack_b_panel_notrans(const float* base, index_t ld, index_t klen,
     float* row = dst + kk * nr;
     if constexpr (FT) {
       const float arv = ar[kk];
+      [[maybe_unused]] float sum = 0.0f;
       for (index_t jj = 0; jj < nr; ++jj) {
-        const float v = base[jj * ld + kk];
+        const float v = float(base[jj * ld + kk]);
         row[jj] = v;
         cr[jj] += arv * v;
+        if constexpr (BC) {
+          sum += v;
+          amax = std::max(amax, std::abs(v));
+        }
       }
+      if constexpr (BC) bc[kk] += sum;
     } else {
-      for (index_t jj = 0; jj < nr; ++jj) row[jj] = base[jj * ld + kk];
+      for (index_t jj = 0; jj < nr; ++jj) row[jj] = float(base[jj * ld + kk]);
     }
   }
   if constexpr (FT) {
@@ -356,6 +440,7 @@ void pack_b_panel_notrans(const float* base, index_t ld, index_t klen,
       for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
     }
   }
+  return BC ? std::max(amax, hmax_ps(amaxv)) : 0.0f;
 }
 
 /// Transpose tile height of the Trans pack_a path per element type.
@@ -500,16 +585,34 @@ void pack_a_panel_notrans(const typename TR::T* base, index_t ld,
   }
 }
 
+/// Loader of the uniform-type paths: storage IS the compute type, so the
+/// shared B packers below load without widening.  (The mixed sets pass a
+/// widening loader with the same interface instead.)
+template <class TR>
+struct SameLoad {
+  using S = typename TR::T;
+  static typename TR::Vec loadu(const S* p) { return TR::loadu(p); }
+  static typename TR::Vec maskload(const S* p, index_t n) {
+    return TR::maskload(p, n);
+  }
+  static __m128 load4(const float* p) { return _mm_loadu_ps(p); }
+};
+
 /// Trans pack_b panel: the effective row is contiguous — full-width copy
 /// streams with a masked tail group, and (with FT) the predicted-Cr FMA
 /// fused into the same pass, one accumulator per vector group carried
-/// across k.  Full panel: cols == nr.
-template <class TR, bool FT>
-void pack_b_panel_transcopy(const typename TR::T* base, index_t ld,
-                            index_t klen, index_t nr,
-                            typename TR::T* __restrict__ dst,
-                            const typename TR::T* __restrict__ ar,
-                            typename TR::T* __restrict__ cr) {
+/// across k.  With BC each row's vectors are also summed into bc[kk] (one
+/// horizontal sum per packed row) and folded into the amax.  Full panel:
+/// cols == nr.  Returns the panel's amax |B| (0 without BC).
+template <class TR, class LD, bool FT, bool BC>
+typename TR::T pack_b_panel_transcopy(const typename LD::S* base, index_t ld,
+                                      index_t klen, index_t nr,
+                                      typename TR::T* __restrict__ dst,
+                                      const typename TR::T* __restrict__ ar,
+                                      typename TR::T* __restrict__ cr,
+                                      typename TR::T* __restrict__ bc) {
+  static_assert(FT || !BC, "Bc is only fused into the FT pack");
+  using T = typename TR::T;
   using Vec = typename TR::Vec;
   constexpr index_t W = TR::W;
   const index_t full = nr - nr % W;
@@ -519,34 +622,46 @@ void pack_b_panel_transcopy(const typename TR::T* base, index_t ld,
   if constexpr (FT) {
     for (index_t g = 0; g < ng; ++g) acc[g] = TR::zero();
   }
+  Vec amaxv = TR::zero();
   for (index_t kk = 0; kk < klen; ++kk) {
-    const typename TR::T* __restrict__ src = base + kk * ld;
-    typename TR::T* __restrict__ out = dst + kk * nr;
+    const typename LD::S* __restrict__ src = base + kk * ld;
+    T* __restrict__ out = dst + kk * nr;
     prefetch_t0(src + kPfDist * ld);
     if constexpr (FT) {
       const Vec arv = TR::set1(ar[kk]);
+      [[maybe_unused]] Vec sum = TR::zero();
       index_t jj = 0;
       for (; jj < full; jj += W) {
-        const Vec v = TR::loadu(src + jj);
+        const Vec v = LD::loadu(src + jj);
         TR::storeu(out + jj, v);
         acc[jj / W] = TR::fmadd(arv, v, acc[jj / W]);
+        if constexpr (BC) {
+          sum = TR::add(sum, v);
+          amaxv = TR::max(amaxv, TR::abs(v));
+        }
       }
       if (rem) {
-        const Vec v = TR::maskload(src + jj, rem);
+        const Vec v = LD::maskload(src + jj, rem);
         TR::maskstore(out + jj, rem, v);
         acc[full / W] = TR::fmadd(arv, v, acc[full / W]);
+        if constexpr (BC) {
+          sum = TR::add(sum, v);
+          amaxv = TR::max(amaxv, TR::abs(v));
+        }
       }
+      if constexpr (BC) bc[kk] += TR::hsum(sum);
     } else {
       index_t jj = 0;
-      for (; jj < full; jj += W) TR::storeu(out + jj, TR::loadu(src + jj));
-      if (rem) TR::maskstore(out + jj, rem, TR::maskload(src + jj, rem));
+      for (; jj < full; jj += W) TR::storeu(out + jj, LD::loadu(src + jj));
+      if (rem) TR::maskstore(out + jj, rem, LD::maskload(src + jj, rem));
     }
   }
   if constexpr (FT) {
-    alignas(64) typename TR::T lanes[(kMaxGroups + 1) * W];
+    alignas(64) T lanes[(kMaxGroups + 1) * W];
     for (index_t g = 0; g < ng; ++g) TR::storeu(lanes + g * W, acc[g]);
     for (index_t jj = 0; jj < nr; ++jj) cr[jj] += lanes[jj];
   }
+  return BC ? TR::hmax(amaxv) : T(0);
 }
 
 /// Bc[kk] = sum_j panel(kk, j) over all sub-panels + fused amax of |B~|.
@@ -795,50 +910,100 @@ void pack_a_ft_disp(const OperandView<typename TR::T>& a, index_t m0,
   pack_a_generic<TR, true>(a, m0, k0, mlen, klen, mr, alpha, dst, bc, cc);
 }
 
-template <class TR, bool FT>
-void pack_b_generic(const OperandView<typename TR::T>& b, index_t k0,
-                    index_t j0, index_t klen, index_t nlen, index_t nr,
-                    typename TR::T* dst, const typename TR::T* ar,
-                    typename TR::T* cr) {
+/// B-side dispatch shared by the uniform (LD = SameLoad<TR>) and mixed
+/// sets: full panels on the SIMD paths above, the ragged tail panel (and
+/// any off-spec tile geometry) on the scalar set.  With BC, bc[0, klen) is
+/// assigned and the return value is max(amax_in, amax |B|).
+template <class TR, class LD, bool FT, bool BC>
+double pack_b_generic(const OperandView<typename LD::S>& b, index_t k0,
+                      index_t j0, index_t klen, index_t nlen, index_t nr,
+                      typename TR::T* dst, const typename TR::T* ar,
+                      typename TR::T* cr, typename TR::T* bc,
+                      double amax_in) {
+  using S = typename LD::S;
   using T = typename TR::T;
-  const bool simd_ok = nr <= kMaxGroups * TR::W && nr / 4 <= kMaxGroups;
-  index_t jp = 0;
-  if (simd_ok) {
-    for (; jp + nr <= nlen; jp += nr) {
-      const T* base = b.ptr(k0, j0 + jp);
-      if (b.trans) {
-        pack_b_panel_transcopy<TR, FT>(base, b.ld, klen, nr, dst, ar,
-                                       FT ? cr + jp : nullptr);
-      } else {
-        pack_b_panel_notrans<FT>(base, b.ld, klen, nr, dst, ar,
-                                 FT ? cr + jp : nullptr);
-      }
-      dst += nr * klen;
+  const PackSet<S, T>& scalar = scalar_pack<S, T>();
+  if (nr > kMaxGroups * TR::W || nr / 4 > kMaxGroups) {
+    if constexpr (BC) {
+      return scalar.pack_b_ft_bc(b, k0, j0, klen, nlen, nr, dst, ar, cr, bc,
+                                 amax_in);
+    } else if constexpr (FT) {
+      scalar.pack_b_ft(b, k0, j0, klen, nlen, nr, dst, ar, cr);
+    } else {
+      scalar.pack_b(b, k0, j0, klen, nlen, nr, dst);
     }
+    return amax_in;
+  }
+  if constexpr (BC) std::fill(bc, bc + klen, T(0));
+  double amax = amax_in;
+  index_t jp = 0;
+  for (; jp + nr <= nlen; jp += nr) {
+    const S* base = b.ptr(k0, j0 + jp);
+    T* crp = FT ? cr + jp : nullptr;
+    T panel_max;
+    if (b.trans) {
+      panel_max = pack_b_panel_transcopy<TR, LD, FT, BC>(base, b.ld, klen, nr,
+                                                         dst, ar, crp, bc);
+    } else if constexpr (sizeof(T) == 8) {
+      panel_max =
+          pack_b_panel_notrans<FT, BC>(base, b.ld, klen, nr, dst, ar, crp, bc);
+    } else {
+      panel_max = pack_b_panel_notrans4<LD, FT, BC>(base, b.ld, klen, nr, dst,
+                                                    ar, crp, bc);
+    }
+    amax = std::max(amax, double(panel_max));
+    dst += nr * klen;
   }
   if (jp < nlen) {  // ragged tail panel (cols < nr): scalar oracle path
     if constexpr (FT) {
-      scalar_pack<T>().pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr, dst,
-                                 ar, cr + jp);
+      scalar.pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr, dst, ar, cr + jp);
     } else {
-      scalar_pack<T>().pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
+      scalar.pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
+    }
+    if constexpr (BC) {
+      // Fold the just-packed, L1-hot tail sub-panel into Bc and amax.
+      const index_t cols = nlen - jp;
+      T tail_max = T(0);
+      for (index_t kk = 0; kk < klen; ++kk) {
+        const T* row = dst + kk * nr;
+        T sum = T(0);
+        for (index_t jj = 0; jj < cols; ++jj) {
+          sum += row[jj];
+          tail_max = std::max(tail_max, std::abs(row[jj]));
+        }
+        bc[kk] += sum;
+      }
+      amax = std::max(amax, double(tail_max));
     }
   }
+  return amax;
 }
 
-template <class TR>
-void pack_b_disp(const OperandView<typename TR::T>& b, index_t k0, index_t j0,
+template <class TR, class LD>
+void pack_b_disp(const OperandView<typename LD::S>& b, index_t k0, index_t j0,
                  index_t klen, index_t nlen, index_t nr,
                  typename TR::T* dst) {
-  pack_b_generic<TR, false>(b, k0, j0, klen, nlen, nr, dst, nullptr, nullptr);
+  pack_b_generic<TR, LD, false, false>(b, k0, j0, klen, nlen, nr, dst,
+                                       nullptr, nullptr, nullptr, 0.0);
 }
 
-template <class TR>
-void pack_b_ft_disp(const OperandView<typename TR::T>& b, index_t k0,
+template <class TR, class LD>
+void pack_b_ft_disp(const OperandView<typename LD::S>& b, index_t k0,
                     index_t j0, index_t klen, index_t nlen, index_t nr,
                     typename TR::T* dst, const typename TR::T* ar,
                     typename TR::T* cr) {
-  pack_b_generic<TR, true>(b, k0, j0, klen, nlen, nr, dst, ar, cr);
+  pack_b_generic<TR, LD, true, false>(b, k0, j0, klen, nlen, nr, dst, ar, cr,
+                                      nullptr, 0.0);
+}
+
+template <class TR, class LD>
+double pack_b_ft_bc_disp(const OperandView<typename LD::S>& b, index_t k0,
+                         index_t j0, index_t klen, index_t nlen, index_t nr,
+                         typename TR::T* dst, const typename TR::T* ar,
+                         typename TR::T* cr, typename TR::T* bc,
+                         double amax_in) {
+  return pack_b_generic<TR, LD, true, true>(b, k0, j0, klen, nlen, nr, dst,
+                                            ar, cr, bc, amax_in);
 }
 
 /// Dispatch for the Cc replay: the SAME full-tile/ragged-tail split and
@@ -890,8 +1055,9 @@ PackSet<typename TR::T> make_simd_pack(Isa isa) {
   PackSet<typename TR::T> p;
   p.pack_a = &pack_a_disp<TR>;
   p.pack_a_ft = &pack_a_ft_disp<TR>;
-  p.pack_b = &pack_b_disp<TR>;
-  p.pack_b_ft = &pack_b_ft_disp<TR>;
+  p.pack_b = &pack_b_disp<TR, SameLoad<TR>>;
+  p.pack_b_ft = &pack_b_ft_disp<TR, SameLoad<TR>>;
+  p.pack_b_ft_bc = &pack_b_ft_bc_disp<TR, SameLoad<TR>>;
   p.reduce_bc = &reduce_bc_disp<TR>;
   p.scale_encode_c = &scale_encode_c_simd<TR>;
   p.encode_ar = &encode_ar_simd<TR>;
@@ -920,24 +1086,12 @@ PackSet<typename TR::T> make_simd_pack(Isa isa) {
 //      touch fp32 panels, and the mixed packers' accumulator structure is
 //      the fp32 one, so the resident-hit Cc replay stays bit-exact.
 //
-// Ragged edges reach the flag-free scalar templates through the
-// scalar_pack_bf16()/scalar_pack_f16() function pointers, same rule as the
-// uniform-type engine.
+// The B packers are not repeated here: pack_b_generic takes the loader as a
+// parameter, so the mixed sets run the fp32 B code itself.  Ragged edges
+// reach the flag-free scalar templates through scalar_pack<S, float>()
+// (scalar_pack_bf16()/scalar_pack_f16()), same rule as the uniform-type
+// engine.
 // ===========================================================================
-
-/// Mixed scalar fallback set, by storage type (fp32 compute).  Reached
-/// through the flag-free accessors, never by instantiating the scalar
-/// templates in this TU.
-template <typename S>
-const PackSet<S, float>& scalar_pack_mixed() {
-  static const PackSet<S, float> set = [] {
-    if constexpr (kStorageDtypeTag<S> == kStorageDtypeTag<bf16_t>)
-      return scalar_pack_bf16();
-    else
-      return scalar_pack_f16();
-  }();
-  return set;
-}
 
 /// Trans pack_a, mixed: widen-load 8 storage rows, fp32 8x8 transpose tiles
 /// — the exact structure of pack_a_panel_trans(float).  Full tile:
@@ -1033,124 +1187,6 @@ void pack_a_panel_notrans_mixed(const typename LD::S* base, index_t ld,
   }
 }
 
-/// NoTrans pack_b, mixed: 4-wide widen loads into the fp32 4x4 SSE
-/// transpose tiles of pack_b_panel_notrans(float).  Full panel: cols == nr.
-template <class LD, bool FT>
-void pack_b_panel_notrans_mixed(const typename LD::S* base, index_t ld,
-                                index_t klen, index_t nr,
-                                float* __restrict__ dst,
-                                const float* __restrict__ ar,
-                                float* __restrict__ cr) {
-  const index_t jblocks = nr / 4;
-  const index_t jtail = jblocks * 4;
-  __m128 acc[kMaxGroups];
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) acc[g] = _mm_setzero_ps();
-  }
-  index_t kk = 0;
-  for (; kk + 4 <= klen; kk += 4) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      const typename LD::S* col = base + 4 * g * ld + kk;
-      if (kk % 16 == 0) {
-        prefetch_t0(col + 4 * kPfDist);
-        prefetch_t0(col + ld + 4 * kPfDist);
-        prefetch_t0(col + 2 * ld + 4 * kPfDist);
-        prefetch_t0(col + 3 * ld + 4 * kPfDist);
-      }
-      __m128 t0 = LD::load4(col);
-      __m128 t1 = LD::load4(col + ld);
-      __m128 t2 = LD::load4(col + 2 * ld);
-      __m128 t3 = LD::load4(col + 3 * ld);
-      _MM_TRANSPOSE4_PS(t0, t1, t2, t3);
-      _mm_storeu_ps(dst + (kk + 0) * nr + 4 * g, t0);
-      _mm_storeu_ps(dst + (kk + 1) * nr + 4 * g, t1);
-      _mm_storeu_ps(dst + (kk + 2) * nr + 4 * g, t2);
-      _mm_storeu_ps(dst + (kk + 3) * nr + 4 * g, t3);
-      if constexpr (FT) {
-        acc[g] = _mm_fmadd_ps(t0, _mm_set1_ps(ar[kk + 0]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t1, _mm_set1_ps(ar[kk + 1]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t2, _mm_set1_ps(ar[kk + 2]), acc[g]);
-        acc[g] = _mm_fmadd_ps(t3, _mm_set1_ps(ar[kk + 3]), acc[g]);
-      }
-    }
-    for (index_t jj = jtail; jj < nr; ++jj) {
-      const typename LD::S* cj = base + jj * ld;
-      for (int q = 0; q < 4; ++q) {
-        const float v = float(cj[kk + q]);
-        dst[(kk + q) * nr + jj] = v;
-        if constexpr (FT) cr[jj] += ar[kk + q] * v;
-      }
-    }
-  }
-  for (; kk < klen; ++kk) {
-    float* row = dst + kk * nr;
-    if constexpr (FT) {
-      const float arv = ar[kk];
-      for (index_t jj = 0; jj < nr; ++jj) {
-        const float v = float(base[jj * ld + kk]);
-        row[jj] = v;
-        cr[jj] += arv * v;
-      }
-    } else {
-      for (index_t jj = 0; jj < nr; ++jj) row[jj] = float(base[jj * ld + kk]);
-    }
-  }
-  if constexpr (FT) {
-    for (index_t g = 0; g < jblocks; ++g) {
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, acc[g]);
-      for (int q = 0; q < 4; ++q) cr[4 * g + q] += lanes[q];
-    }
-  }
-}
-
-/// Trans pack_b, mixed: full-width widen-load copy streams (the effective
-/// row is contiguous in storage), structure of pack_b_panel_transcopy<TR>.
-template <class TR, class LD, bool FT>
-void pack_b_panel_transcopy_mixed(const typename LD::S* base, index_t ld,
-                                  index_t klen, index_t nr,
-                                  float* __restrict__ dst,
-                                  const float* __restrict__ ar,
-                                  float* __restrict__ cr) {
-  using Vec = typename TR::Vec;
-  constexpr index_t W = TR::W;
-  const index_t full = nr - nr % W;
-  const index_t rem = nr - full;
-  const index_t ng = full / W + (rem ? 1 : 0);
-  Vec acc[kMaxGroups + 1];
-  if constexpr (FT) {
-    for (index_t g = 0; g < ng; ++g) acc[g] = TR::zero();
-  }
-  for (index_t kk = 0; kk < klen; ++kk) {
-    const typename LD::S* __restrict__ src = base + kk * ld;
-    float* __restrict__ out = dst + kk * nr;
-    prefetch_t0(src + kPfDist * ld);
-    if constexpr (FT) {
-      const Vec arv = TR::set1(ar[kk]);
-      index_t jj = 0;
-      for (; jj < full; jj += W) {
-        const Vec v = LD::loadu(src + jj);
-        TR::storeu(out + jj, v);
-        acc[jj / W] = TR::fmadd(arv, v, acc[jj / W]);
-      }
-      if (rem) {
-        const Vec v = LD::maskload(src + jj, rem);
-        TR::maskstore(out + jj, rem, v);
-        acc[full / W] = TR::fmadd(arv, v, acc[full / W]);
-      }
-    } else {
-      index_t jj = 0;
-      for (; jj < full; jj += W) TR::storeu(out + jj, LD::loadu(src + jj));
-      if (rem) TR::maskstore(out + jj, rem, LD::maskload(src + jj, rem));
-    }
-  }
-  if constexpr (FT) {
-    alignas(64) float lanes[(kMaxGroups + 1) * W];
-    for (index_t g = 0; g < ng; ++g) TR::storeu(lanes + g * W, acc[g]);
-    for (index_t jj = 0; jj < nr; ++jj) cr[jj] += lanes[jj];
-  }
-}
-
 /// Ar partial encode + amax over a narrow-storage operand (mirrors
 /// encode_ar_partial<S, float>): widen loads, fp32 lane sums.
 template <class TR, class LD>
@@ -1233,7 +1269,7 @@ void widen_a_mixed(const typename LD::S* raw, index_t mlen, index_t klen,
     TR::maskstore(dst + i, n - full,
                   TR::mul(alphav, LD::maskload(raw + i, n - full)));
   if (mlen % mr) {
-    scalar_pack_mixed<typename LD::S>().widen_a(raw + n, mlen - tiles * mr,
+    scalar_pack<typename LD::S, float>().widen_a(raw + n, mlen - tiles * mr,
                                                 klen, mr, alpha, dst + n);
   }
 }
@@ -1270,10 +1306,10 @@ void pack_a_generic_mixed(const OperandView<typename LD::S>& a, index_t m0,
   }
   if (ip < mlen) {  // ragged tail panel (or whole call): scalar oracle path
     if constexpr (FT) {
-      scalar_pack_mixed<S>().pack_a_ft(a, m0 + ip, k0, mlen - ip, klen, mr,
+      scalar_pack<S, float>().pack_a_ft(a, m0 + ip, k0, mlen - ip, klen, mr,
                                        alpha, dst, bc, cc + ip);
     } else {
-      scalar_pack_mixed<S>().pack_a(a, m0 + ip, k0, mlen - ip, klen, mr,
+      scalar_pack<S, float>().pack_a(a, m0 + ip, k0, mlen - ip, klen, mr,
                                     alpha, dst);
     }
   }
@@ -1296,51 +1332,6 @@ void pack_a_ft_disp_mixed(const OperandView<typename LD::S>& a, index_t m0,
                                      bc, cc);
 }
 
-template <class TR, class LD, bool FT>
-void pack_b_generic_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                          index_t j0, index_t klen, index_t nlen, index_t nr,
-                          float* dst, const float* ar, float* cr) {
-  using S = typename LD::S;
-  const bool simd_ok = nr <= kMaxGroups * TR::W && nr / 4 <= kMaxGroups;
-  index_t jp = 0;
-  if (simd_ok) {
-    for (; jp + nr <= nlen; jp += nr) {
-      const S* base = b.ptr(k0, j0 + jp);
-      if (b.trans) {
-        pack_b_panel_transcopy_mixed<TR, LD, FT>(base, b.ld, klen, nr, dst,
-                                                 ar, FT ? cr + jp : nullptr);
-      } else {
-        pack_b_panel_notrans_mixed<LD, FT>(base, b.ld, klen, nr, dst, ar,
-                                           FT ? cr + jp : nullptr);
-      }
-      dst += nr * klen;
-    }
-  }
-  if (jp < nlen) {  // ragged tail panel (cols < nr): scalar oracle path
-    if constexpr (FT) {
-      scalar_pack_mixed<S>().pack_b_ft(b, k0, j0 + jp, klen, nlen - jp, nr,
-                                       dst, ar, cr + jp);
-    } else {
-      scalar_pack_mixed<S>().pack_b(b, k0, j0 + jp, klen, nlen - jp, nr, dst);
-    }
-  }
-}
-
-template <class TR, class LD>
-void pack_b_disp_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                       index_t j0, index_t klen, index_t nlen, index_t nr,
-                       float* dst) {
-  pack_b_generic_mixed<TR, LD, false>(b, k0, j0, klen, nlen, nr, dst, nullptr,
-                                      nullptr);
-}
-
-template <class TR, class LD>
-void pack_b_ft_disp_mixed(const OperandView<typename LD::S>& b, index_t k0,
-                          index_t j0, index_t klen, index_t nlen, index_t nr,
-                          float* dst, const float* ar, float* cr) {
-  pack_b_generic_mixed<TR, LD, true>(b, k0, j0, klen, nlen, nr, dst, ar, cr);
-}
-
 /// Assemble a mixed PackSet: widening packers on the storage side, the
 /// plain fp32 engine on the panel side (reduce/scale/replay never see
 /// storage bits), raw-pack via the flag-free scalar TU, SIMD widen-on-hit.
@@ -1349,13 +1340,14 @@ PackSet<typename LD::S, float> make_mixed_pack(Isa isa) {
   PackSet<typename LD::S, float> p;
   p.pack_a = &pack_a_disp_mixed<TR, LD>;
   p.pack_a_ft = &pack_a_ft_disp_mixed<TR, LD>;
-  p.pack_b = &pack_b_disp_mixed<TR, LD>;
-  p.pack_b_ft = &pack_b_ft_disp_mixed<TR, LD>;
+  p.pack_b = &pack_b_disp<TR, LD>;
+  p.pack_b_ft = &pack_b_ft_disp<TR, LD>;
+  p.pack_b_ft_bc = &pack_b_ft_bc_disp<TR, LD>;
   p.reduce_bc = &reduce_bc_disp<TR>;
   p.scale_encode_c = &scale_encode_c_simd<TR>;
   p.encode_ar = &encode_ar_simd_mixed<TR, LD>;
   p.encode_cc = &encode_cc_disp<TR>;
-  p.pack_a_raw = scalar_pack_mixed<typename LD::S>().pack_a_raw;
+  p.pack_a_raw = scalar_pack<typename LD::S, float>().pack_a_raw;
   p.widen_a = &widen_a_mixed<TR, LD>;
   p.isa = isa;
   return p;

@@ -5,11 +5,15 @@
 // Plain packing is what every high-performance GEMM does.  The FT variants
 // reuse every loaded element for checksum arithmetic *while it is hot*:
 //
-//   pack_b_ft:  each B element is used three times per load —
+//   pack_b_ft_bc:  each B element is used three times per load —
 //                 (1) stored into the packed panel B~,
-//                 (2) accumulated into the panel column checksum Bc = B_p·e,
+//                 (2) accumulated into the panel column checksum Bc = B_p·e
+//                     (and folded into amax(B) for the tolerance model),
 //                 (3) multiplied with Ar to update the predicted row
 //                     checksum of C:  Cr += Ar_p · B_p.
+//               pack_b_ft is the same pass without (2); it and
+//               reduce_bc_from_panel stay as the oracles the fused pass is
+//               tested against.
 //
 //   pack_a_ft:  each A element is used twice per load —
 //                 (1) scaled by alpha and stored into A~,
@@ -31,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 
 #include "kernels/microkernel.hpp"
 
@@ -164,31 +169,40 @@ void pack_b(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
   }
 }
 
-/// pack_b + the fused predicted-row-checksum update
-///   cr[jp+jj] += sum_kk ar[kk] * B(k0+kk, j0+jp+jj),
-/// i.e. Cr += Ar_p · B_p ("each B element loaded from main memory is
-/// re-used", §2.3).  `ar` points at the alpha-scaled A row-checksum entries
-/// for depth k0; `cr` points at the checksum entries for column j0.
-///
-/// The panel checksum Bc = B_p·e is *not* accumulated here: the packed panel
-/// is L2/L3-resident by construction, so the driver derives Bc from B~
-/// during the cross-thread reduction stage at cache speed (see
-/// reduce_bc_from_panel), keeping this inner loop at two streams and fully
-/// vectorizable.
-template <typename S, typename C = S>
-void pack_b_ft(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
-               index_t nlen, index_t nr, C* __restrict__ dst,
-               const C* __restrict__ ar, C* __restrict__ cr) {
+namespace detail {
+
+/// Shared body of pack_b_ft / pack_b_ft_bc.  With kBc the pack loop also
+/// assigns bc[kk] = sum over the nlen packed columns and tracks amax |B|;
+/// the Cr stage is identical either way, so both produce bit-identical Cr.
+template <bool kBc, typename S, typename C>
+double pack_b_ft_impl(const OperandView<S>& b, index_t k0, index_t j0,
+                      index_t klen, index_t nlen, index_t nr,
+                      C* __restrict__ dst, const C* __restrict__ ar,
+                      C* __restrict__ cr, C* __restrict__ bc,
+                      double amax_in) {
   const index_t rs = b.row_stride(), cs = b.col_stride();
+  C amax = C(0);
+  if constexpr (kBc) std::fill(bc, bc + klen, C(0));
   for (index_t jp = 0; jp < nlen; jp += nr) {
     const index_t cols = std::min(nr, nlen - jp);
     const S* __restrict__ base = b.ptr(k0, j0 + jp);
-    // 1) Pack this NR-wide sub-panel (identical to pack_b).
+    // 1) Pack this NR-wide sub-panel (identical to pack_b), summing each
+    // packed row into Bc on the way.
     for (index_t kk = 0; kk < klen; ++kk) {
       C* __restrict__ row = dst + kk * nr;
       const S* __restrict__ src = base + kk * rs;
-      for (index_t jj = 0; jj < cols; ++jj) row[jj] = C(src[jj * cs]);
+      [[maybe_unused]] C sum = C(0);
+      for (index_t jj = 0; jj < cols; ++jj) {
+        const C v = C(src[jj * cs]);
+        row[jj] = v;
+        if constexpr (kBc) {
+          sum += v;
+          const C x = std::abs(v);
+          amax = amax > x ? amax : x;
+        }
+      }
       for (index_t jj = cols; jj < nr; ++jj) row[jj] = C(0);
+      if constexpr (kBc) bc[kk] += sum;
     }
     // 2) Cr += Arᵀ·(sub-panel) while the 16 KiB sub-panel is L1-hot: one
     // NR-wide FMA per k step, contiguous loads, vector accumulators.  The
@@ -210,6 +224,38 @@ void pack_b_ft(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
     }
     dst += nr * klen;
   }
+  return std::max(amax_in, double(amax));
+}
+
+}  // namespace detail
+
+/// pack_b + the fused predicted-row-checksum update
+///   cr[jp+jj] += sum_kk ar[kk] * B(k0+kk, j0+jp+jj),
+/// i.e. Cr += Ar_p · B_p ("each B element loaded from main memory is
+/// re-used", §2.3).  `ar` points at the alpha-scaled A row-checksum entries
+/// for depth k0; `cr` points at the checksum entries for column j0.
+template <typename S, typename C = S>
+void pack_b_ft(const OperandView<S>& b, index_t k0, index_t j0, index_t klen,
+               index_t nlen, index_t nr, C* __restrict__ dst,
+               const C* __restrict__ ar, C* __restrict__ cr) {
+  detail::pack_b_ft_impl<false, S, C>(b, k0, j0, klen, nlen, nr, dst, ar, cr,
+                                      nullptr, 0.0);
+}
+
+/// pack_b_ft + the panel column checksum and amax(B) in the same pass (the
+/// executor's path):
+///   bc[kk] = sum_j B(k0+kk, j0+j)   over the nlen packed columns
+/// is ASSIGNED for kk in [0, klen) — a call with nlen = 0 writes a zero Bc
+/// — and the return value is max(amax_in, max |B|) over the packed
+/// elements.  Cr is bit-identical to pack_b_ft; Bc is bit-identical to
+/// reduce_bc_from_panel over the same packed panel.
+template <typename S, typename C = S>
+double pack_b_ft_bc(const OperandView<S>& b, index_t k0, index_t j0,
+                    index_t klen, index_t nlen, index_t nr,
+                    C* __restrict__ dst, const C* __restrict__ ar,
+                    C* __restrict__ cr, C* __restrict__ bc, double amax_in) {
+  return detail::pack_b_ft_impl<true, S, C>(b, k0, j0, klen, nlen, nr, dst,
+                                            ar, cr, bc, amax_in);
 }
 
 /// Replay pack_a_ft's fused Cc update from an already-packed panel (the
@@ -239,7 +285,8 @@ void encode_cc_from_panel(const T* __restrict__ packed, bool /*trans*/,
 /// Derive the panel column checksum Bc[kk] = sum_j B_p(kk, j) for
 /// kk in [kk0, kk0+kklen) from the packed (zero-padded) panel itself, and
 /// fold the running amax of |B| (needed by the tolerance model) into the
-/// same cache-speed sweep.  `b_packed` covers `nlen` columns in NR-wide
+/// same cache-speed sweep.  A separate pass over B~: the executor uses
+/// pack_b_ft_bc instead; this stays as its test oracle.  `b_packed` covers `nlen` columns in NR-wide
 /// sub-panels of depth `klen`.  Returns max(amax_in, amax of the slice).
 template <typename T>
 double reduce_bc_from_panel(const T* __restrict__ b_packed, index_t klen,

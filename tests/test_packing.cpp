@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "abft/checksum.hpp"
+#include "abft/tolerance.hpp"
 #include "arch/cpu_features.hpp"
 #include "kernels/packing.hpp"
 #include "util/matrix.hpp"
@@ -307,6 +308,7 @@ void run_dispatch_sweep(Isa isa) {
   ASSERT_NE(simd.pack_a_ft, nullptr);
   ASSERT_NE(simd.pack_b, nullptr);
   ASSERT_NE(simd.pack_b_ft, nullptr);
+  ASSERT_NE(simd.pack_b_ft_bc, nullptr);
   ASSERT_NE(simd.reduce_bc, nullptr);
   ASSERT_NE(simd.scale_encode_c, nullptr);
   ASSERT_NE(simd.encode_ar, nullptr);
@@ -443,6 +445,89 @@ void run_dispatch_sweep(Isa isa) {
       }
     }
   }
+}
+
+/// The fused B pack (pack_b_ft_bc) against its oracles, for one storage /
+/// compute pair on one ISA: the packed panel is bit-identical to pack_b, Cr
+/// is bit-identical to the same set's pack_b_ft, Bc agrees with
+/// reduce_bc_from_panel over the packed panel within the tolerance the
+/// verifier applies to a sum of that many elements (bit-identical on the
+/// scalar set), and amax is exact.
+template <typename S, typename C>
+void run_fused_bc_sweep(Isa isa) {
+  const PackSet<S, C> set = get_pack_set<S, C>(isa);
+  ASSERT_NE(set.pack_b_ft_bc, nullptr);
+  const index_t nr = get_kernel_set<S, C>(isa).nr;
+  Matrix<S> src(200, 200);
+  src.fill_random(59);
+
+  for (const bool trans : {false, true}) {
+    const OperandView<S> view{src.data(), src.ld(), trans};
+    for (const index_t klen : {index_t(1), index_t(3), index_t(7), index_t(8),
+                               index_t(64)}) {
+      for (const index_t nlen : {index_t(0), index_t(1), nr - 1, nr, nr + 1,
+                                 4 * nr, 6 * nr - 3}) {
+        SCOPED_TRACE("isa=" + std::string(isa_name(isa)) +
+                     " trans=" + std::to_string(trans) +
+                     " nlen=" + std::to_string(nlen) +
+                     " klen=" + std::to_string(klen));
+        const index_t panels = (nlen + nr - 1) / nr;
+        const std::size_t dn = std::size_t(panels * nr * klen);
+        std::vector<C> packed(dn, C(-77)), ft(dn, C(-66)), fused(dn, C(-55));
+        set.pack_b(view, 1, 2, klen, nlen, nr, packed.data());
+
+        std::vector<C> ar(static_cast<std::size_t>(klen));
+        for (index_t kk = 0; kk < klen; ++kk)
+          ar[std::size_t(kk)] = C(0.01f * float(kk)) - C(0.3f);
+        std::vector<C> cr_want(std::size_t(nlen), C(2)),
+            cr_got(std::size_t(nlen), C(2));
+        set.pack_b_ft(view, 1, 2, klen, nlen, nr, ft.data(), ar.data(),
+                      cr_want.data());
+        std::vector<C> bc(static_cast<std::size_t>(klen), C(-9));
+        const double amax =
+            set.pack_b_ft_bc(view, 1, 2, klen, nlen, nr, fused.data(),
+                             ar.data(), cr_got.data(), bc.data(), 0.25);
+        EXPECT_EQ(fused, packed) << "fused panel must be bit-identical";
+        EXPECT_EQ(cr_got, cr_want) << "fused Cr must be bit-identical";
+
+        std::vector<C> bc_want(static_cast<std::size_t>(klen));
+        const double amax_want = reduce_bc_from_panel(
+            packed.data(), klen, nlen, nr, 0, klen, bc_want.data(), 0.25);
+        EXPECT_EQ(amax, amax_want) << "amax is order-independent";
+        if (isa == Isa::kScalar) {
+          EXPECT_EQ(bc, bc_want) << "scalar Bc must match the oracle order";
+        }
+        const double tau =
+            ToleranceModel<C>::compute(1, nlen, 1, 1.0, amax_want, 0.0, 1.0,
+                                       0.0, default_tolerance_factor_for<C>())
+                .cc_tau;
+        for (index_t kk = 0; kk < klen; ++kk) {
+          EXPECT_NEAR(double(bc[std::size_t(kk)]),
+                      double(bc_want[std::size_t(kk)]), tau)
+              << "bc[" << kk << "]";
+        }
+      }
+    }
+  }
+}
+
+TEST(PackDispatch, FusedBcF64AcrossIsas) {
+  for (const Isa isa : executable_isas())
+    run_fused_bc_sweep<double, double>(isa);
+}
+
+TEST(PackDispatch, FusedBcF32AcrossIsas) {
+  for (const Isa isa : executable_isas()) run_fused_bc_sweep<float, float>(isa);
+}
+
+TEST(PackDispatch, FusedBcBf16AcrossIsas) {
+  for (const Isa isa : executable_isas())
+    run_fused_bc_sweep<bf16_t, float>(isa);
+}
+
+TEST(PackDispatch, FusedBcF16AcrossIsas) {
+  for (const Isa isa : executable_isas())
+    run_fused_bc_sweep<fp16_t, float>(isa);
 }
 
 TEST(PackDispatch, F64MatchesScalarOracleAcrossIsas) {

@@ -410,6 +410,45 @@ TEST(BackendBitIdentity, FloatSpotChecks) {
       {64, 64, 64, Trans::kNoTrans, Trans::kTrans, -1.5, 2.0}, 3);
 }
 
+TEST(BackendBitIdentity, RaggedTeamWithFaults) {
+  // n = 12 spans fewer NR-wide B~ micro-panels than there are members at
+  // nt = 3 and 4, so the tail members pack no B columns: they write zero Bc
+  // partials, yet still sum Bc, scan, and meet every barrier.  Two injected
+  // errors per call drive the locate/correct single behind the post-scan
+  // barrier.
+  const GemmCase cs{600, 12, 700};
+  Problem<double> p(cs, 41);
+  const Matrix<double> ref = reference_result(cs, p);
+  const std::size_t bytes =
+      sizeof(double) * std::size_t(p.c.ld()) * std::size_t(cs.n);
+  for (const int threads : {3, 4}) {
+    Matrix<double> results[2] = {p.c.clone(), p.c.clone()};
+    const RuntimeBackend backends[2] = {RuntimeBackend::kOpenMP,
+                                        RuntimeBackend::kPool};
+    for (int b = 0; b < 2; ++b) {
+      CountInjector inj(2, 4242, 3.0);
+      Options opts;
+      opts.threads = threads;
+      opts.runtime = backends[b];
+      opts.small_fast_path = false;
+      opts.injector = &inj;
+      const FtReport rep = ft_dgemm(
+          Layout::kColMajor, cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha,
+          p.a.data(), p.a.ld(), p.b.data(), p.b.ld(), cs.beta,
+          results[b].data(), results[b].ld(), opts);
+      SCOPED_TRACE("nt=" + std::to_string(threads) + " backend=" +
+                   std::to_string(b));
+      EXPECT_EQ(inj.injected_count(), 2u);
+      EXPECT_EQ(inj.undelivered_count(), 0u);
+      EXPECT_EQ(rep.errors_corrected, 2);
+      EXPECT_TRUE(rep.clean());
+      EXPECT_LE(max_abs_diff(results[b], ref), gemm_tolerance<double>(cs.k));
+    }
+    ASSERT_EQ(0, std::memcmp(results[0].data(), results[1].data(), bytes))
+        << "FT pool backend diverged from OpenMP at nt=" << threads;
+  }
+}
+
 TEST(PoolFt, InjectedFaultsCorrectedAcrossMemberBoundaries) {
   // Same scenario as ParallelFt.InjectionCorrectedAcrossThreadBoundaries,
   // but the team runs on pool workers: the Cr reduction and the rank-0

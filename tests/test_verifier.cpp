@@ -1,9 +1,16 @@
-// Unit tests: mismatch scanning and the error-assignment solver.
+// Unit tests: mismatch scanning and the error-assignment solver, plus the
+// end-to-end "never silent" contract for faults that leave C non-finite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "abft/verifier.hpp"
+#include "core/gemm.hpp"
+#include "inject/injectors.hpp"
+#include "util/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace ftgemm {
 namespace {
@@ -24,6 +31,70 @@ TEST(FindMismatches, ThresholdAndBaseOffset) {
   EXPECT_DOUBLE_EQ(out[0].delta, 0.5);
   EXPECT_EQ(out[1].idx, 103);
   EXPECT_NEAR(out[1].delta, -0.8, 1e-12);
+}
+
+TEST(FindMismatches, NonFiniteDifferenceIsReported) {
+  // NaN compares false against every threshold; it must still be reported.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pred[4] = {1.0, 2.0, 3.0, inf};
+  const double ref[4] = {1.0, nan, inf, inf};
+  std::vector<Mismatch> out;
+  find_mismatches(pred, ref, 4, 1e-6, 0, out);
+  ASSERT_EQ(out.size(), 3u);  // NaN, +Inf, and Inf - Inf = NaN
+  EXPECT_EQ(out[0].idx, 1);
+  EXPECT_EQ(out[1].idx, 2);
+  EXPECT_EQ(out[2].idx, 3);
+}
+
+TEST(Solver, NonFiniteDeltaIsUncorrectable) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(
+      solve_error_assignment(mm({{5, nan}}), mm({{9, nan}}), kSlack).solved);
+  EXPECT_FALSE(
+      solve_error_assignment(mm({{5, inf}}), mm({{9, inf}}), kSlack).solved);
+  EXPECT_FALSE(solve_error_assignment(mm({{5, 2.0}, {6, nan}}),
+                                      mm({{9, 2.0}, {3, nan}}), kSlack)
+                   .solved);
+}
+
+TEST(NonFiniteFault, TopExponentFlipIsNeverSilent) {
+  // Flipping bit 62 of an fp64 C element with |x| in [1, 2) sets the whole
+  // exponent field: C gets Inf or NaN.  Such a panel must end flagged
+  // (clean() false), never clean with a non-finite C.
+  const index_t n = 256;
+  Matrix<double> a(n, n), b(n, n), c0(n, n);
+  a.fill_random(11);
+  b.fill_random(12);
+  c0.fill_random(13);
+  Xoshiro256 rng(62);
+  int nonfinite_trials = 0;
+  for (int trial = 0; trial < 128; ++trial) {
+    const std::int64_t i = std::int64_t(rng.bounded(std::uint64_t(n)));
+    const std::int64_t j = std::int64_t(rng.bounded(std::uint64_t(n)));
+    DeterministicInjector inj({{InjectionKind::kFlipBit, 0, i, j, 0.0, 62}});
+    Matrix<double> c = c0.clone();
+    Options opts;
+    opts.threads = 1;
+    opts.injector = &inj;
+    const FtReport rep =
+        ft_dgemm(Layout::kColMajor, Trans::kNoTrans, Trans::kNoTrans, n, n,
+                 n, 1.0, a.data(), a.ld(), b.data(), b.ld(), 1.0, c.data(),
+                 c.ld(), opts);
+    ASSERT_EQ(inj.injected_count(), 1u) << "trial " << trial;
+    bool finite = true;
+    for (index_t jj = 0; jj < n && finite; ++jj)
+      for (index_t ii = 0; ii < n && finite; ++ii)
+        finite = std::isfinite(c(ii, jj));
+    if (!finite) {
+      ++nonfinite_trials;
+      EXPECT_FALSE(rep.clean())
+          << "trial " << trial << ": C(" << i << ", " << j
+          << ") is non-finite but the call reported clean";
+    }
+  }
+  EXPECT_GT(nonfinite_trials, 0) << "the sweep never produced Inf/NaN";
 }
 
 TEST(Solver, CleanPanelSolvesTrivially) {

@@ -286,8 +286,9 @@ void encode_cc_from_panel(const T* __restrict__ packed, bool /*trans*/,
 /// kk in [kk0, kk0+kklen) from the packed (zero-padded) panel itself, and
 /// fold the running amax of |B| (needed by the tolerance model) into the
 /// same cache-speed sweep.  A separate pass over B~: the executor uses
-/// pack_b_ft_bc instead; this stays as its test oracle.  `b_packed` covers `nlen` columns in NR-wide
-/// sub-panels of depth `klen`.  Returns max(amax_in, amax of the slice).
+/// pack_b_ft_bc instead; this stays as its test oracle.  `b_packed` covers
+/// `nlen` columns in NR-wide sub-panels of depth `klen`.  Returns
+/// max(amax_in, amax of the slice).
 template <typename T>
 double reduce_bc_from_panel(const T* __restrict__ b_packed, index_t klen,
                             index_t nlen, index_t nr, index_t kk0,
